@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
   if (!quiet) {
     std::cout << "c verified " << result.checked_adds << " additions ("
               << result.skipped_deletions << " of " << result.deletions
-              << " deletions skipped) in " << timer.seconds() << " s\n"
+              << " deletions skipped, " << result.propagations
+              << " propagations) in " << timer.seconds() << " s\n"
               << "c trimmed proof: " << checker.trimmed().num_adds()
               << " adds; core: " << checker.core().size() << " of "
               << cnf.num_clauses() << " original clauses\n";

@@ -262,9 +262,8 @@ void Solver::maybe_inprocess() {
 
 void Solver::notify_deleted(ClauseRef ref) {
   ++stats_.deleted_clauses;
-  if (delete_callback_ || proof() != nullptr) {
+  if (proof() != nullptr) {
     arena_.deref(ref).copy_to(callback_scratch_);
-    if (delete_callback_) delete_callback_(callback_scratch_);
     proof_emit_delete(callback_scratch_);
   }
 }
@@ -295,9 +294,8 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
                              : static_cast<std::uint32_t>(stripped.size());
     proof_emit_add(stripped);
     if (learn_callback_) learn_callback_(stripped);
-    if (delete_callback_ || proof() != nullptr) {
+    if (proof() != nullptr) {
       c.copy_to(before);
-      if (delete_callback_) delete_callback_(before);
       proof_emit_delete(before);
     }
   };

@@ -265,21 +265,21 @@ class Solver {
   const telemetry::SolverTelemetry* telemetry() const { return telemetry_; }
 
   // ---- proof logging ----------------------------------------------------
-  // Called with every learned clause / every deleted or strengthened-away
-  // clause; together the two streams form a DRAT proof (see core/drat.h).
+  // Called with every learned clause (including clauses shortened by
+  // root-level strengthening); the portfolio exports through it. Proofs
+  // go through set_proof, which also sees deletions, imports and the
+  // empty clause.
   using ClauseCallback = std::function<void(std::span<const Lit>)>;
   void set_learn_callback(ClauseCallback cb) { learn_callback_ = std::move(cb); }
-  void set_delete_callback(ClauseCallback cb) { delete_callback_ = std::move(cb); }
 
   // Full proof instrumentation (src/proof/): the writer sees every clause
   // the database gains (learned clauses, learned units, imported clauses,
   // clauses shortened by root-level strengthening) and loses (reductions,
   // strengthening), plus the final empty clause when the formula is
-  // refuted — a complete, checkable DRAT trace, which the learn/delete
-  // callbacks alone are not (they miss imports and the empty clause).
-  // Orthogonal to the callbacks, so a portfolio can export clauses and
-  // log a proof at the same time. The writer must outlive the solver's
-  // solving calls; pass nullptr to detach.
+  // refuted — a complete, checkable DRAT trace. Orthogonal to the learn
+  // callback, so a portfolio can export clauses and log a proof at the
+  // same time. The writer must outlive the solver's solving calls; pass
+  // nullptr to detach.
   void set_proof(proof::ProofWriter* writer) { proof_ = writer; }
   proof::ProofWriter* proof() const { return proof_; }
 
@@ -644,7 +644,6 @@ class Solver {
   Lit forced_selector_ = undef_lit;
 
   ClauseCallback learn_callback_;
-  ClauseCallback delete_callback_;
   RestartCallback restart_callback_;
   proof::ProofWriter* proof_ = nullptr;
   bool proof_emitted_empty_ = false;

@@ -1,9 +1,9 @@
 // In-tree DRAT proof checking, trimming and UNSAT-core extraction.
 //
 // DratChecker verifies a clausal proof against the original formula
-// without trusting the solver that produced it: it is its own
-// two-watched-literal propagation engine over the original clauses plus
-// the proof's live additions. The check runs in two passes:
+// without trusting the solver that produced it: it is its own unit-
+// propagation engine over the original clauses plus the proof's live
+// additions. The check runs in two passes:
 //
 //  * forward — every added clause must be a reverse-unit-propagation
 //    (RUP) consequence of the current database: asserting the negation of
@@ -18,6 +18,33 @@
 //    dead weight: trimmed() returns the proof without them, and the
 //    marked original clauses form an unsatisfiable core of the input.
 //
+// Storage and propagation follow the solver's own BCP layout:
+//
+//  * Every stored clause's literals live in one flat arena; a compact
+//    per-clause header (start, size, source, flags) locates them, and the
+//    antecedents recorded for additions sit in a separate flat pool.
+//  * Clauses of three or more literals are watched by two literals; each
+//    watcher carries a blocker (the clause's other watched literal when
+//    the watcher was made) whose truth skips the clause without touching
+//    the arena. Deleted clauses drop out of the watch lists lazily.
+//  * Binary clauses live on per-literal implication lists (the implied
+//    literal plus the clause id) and are propagated before any long
+//    clause, so the binary part of BCP never reads the arena. Deleting a
+//    binary removes both of its list entries at once.
+//  * A step records the clauses of its conflict's resolution chain down
+//    to the root literals it touches, and for each of those only its
+//    reason, tagged as a root link: root reasons are permanent, so the
+//    backward pass expands the rest of each tagged root chain once
+//    instead of every step copying it.
+//    The antecedent walk therefore stops once every non-root variable it
+//    marked has been met, and never enters the root part of the trail.
+//  * Deletions find their victim through a hash of the literal *set*
+//    (order ignored, so the watch permutations of stored clauses do not
+//    matter); each candidate is confirmed by comparing literal sets.
+//
+// The forward pass allocates nothing per step beyond the amortized growth
+// of the arena, the antecedent pool and the watch lists.
+//
 // The engine checks strict RUP only — exactly what our CDCL solver (and
 // any clause-learning solver that logs deletions) emits. RAT steps are
 // rejected, which makes a successful check a stronger statement, not a
@@ -25,8 +52,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory_resource>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cnf/cnf_formula.h"
@@ -69,6 +98,10 @@ struct CheckResult {
   // (only under CheckOptions::allow_unverified_adds; otherwise the first
   // failed addition aborts the check).
   std::size_t skipped_adds = 0;
+  // Literals the checker enqueued (root units, negated candidate clauses
+  // and everything unit propagation implied from them), counted from
+  // construction on. An exact, deterministic work counter for one trace.
+  std::uint64_t propagations = 0;
   // First failure, as "step <index>: <what>"; empty when valid.
   std::string error;
 };
@@ -103,57 +136,99 @@ class DratChecker {
 
  private:
   static constexpr std::uint32_t invalid_clause = 0xFFFFFFFFu;
+  // Tags an antecedent entry as the first link of a root chain (the
+  // reason of a root literal); clause ids stay below this bit.
+  static constexpr std::uint32_t root_link = 0x80000000u;
 
-  struct DbClause {
-    std::vector<Lit> lits;  // normalized; watched literals in slots 0/1
-    bool active = false;
+  struct ClauseHeader {
+    std::uint32_t start = 0;  // offset of the first literal in lits_
+    std::uint32_t size = 0;
     // Originals: index into cnf.clauses(); additions: proof step index.
-    std::size_t source = 0;
+    std::uint32_t source = 0;
+    bool active = true;
     bool from_proof = false;
-    // Clause ids whose unit consequences made this addition RUP.
-    std::vector<std::uint32_t> antecedents;
+  };
+  struct Watcher {  // long clauses: skip the clause while blocker is true
+    std::uint32_t id;
+    Lit blocker;
+  };
+  struct BinaryWatch {  // binary {~p, implied}, listed under p
+    Lit implied;
+    std::uint32_t id;
   };
 
   void ensure_var(Var v);
-  // Stores a normalized clause; returns its id, or invalid_clause for
-  // tautologies (vacuous, never stored).
-  std::uint32_t store(const std::vector<Lit>& normalized, bool from_proof,
-                      std::size_t source);
+  // Copies `lits` into scratch_ sorted and duplicate-free; false for a
+  // tautology.
+  bool normalize(std::span<const Lit> lits);
+  // Stores scratch_ as a clause (additions keep antecedents_ as their
+  // derivation); returns its id.
+  std::uint32_t store(bool from_proof, std::uint32_t source);
+  Lit* lits_of(std::uint32_t id) { return lits_.data() + clauses_[id].start; }
+  // Links a stored clause of two or more literals into the watch lists
+  // (long clauses watch their first two literals).
   void attach(std::uint32_t id);
   Value value(Lit l) const {
-    return value_of_literal(assign_[static_cast<std::size_t>(l.var())], l);
+    return lit_value_[static_cast<std::size_t>(l.code())];
   }
   void enqueue(Lit l, std::uint32_t reason);
-  // Propagates from the current head; returns the conflicting clause id
-  // or invalid_clause. On conflict the head is left past the end so a
-  // subsequent undo restores a consistent state.
+  // Propagates to fixpoint, binaries first; returns the conflicting
+  // clause id or invalid_clause. On conflict the heads are left past the
+  // end so a subsequent undo restores a consistent state.
   std::uint32_t propagate();
   void undo_to(std::size_t trail_size);
-  // Collects the ids of every clause in the resolution chain of
-  // `conflict` (or of the root assignment of `start`, when the conflict
-  // is an assumption contradicting a root-true literal).
-  std::vector<std::uint32_t> collect_antecedents(std::uint32_t conflict,
-                                                 Var start = no_var);
-  // Verifies one addition; fills *antecedents on success.
-  bool check_rup(const std::vector<Lit>& clause,
-                 std::vector<std::uint32_t>* antecedents);
-  void ensure_live_index();
-  void record_empty_derivation(std::vector<std::uint32_t> antecedents);
+  // Collects into antecedents_ the clause ids of the resolution chain of
+  // `conflict`. Literals at trail positions below root_end are root
+  // literals: each contributes only its reason, tagged with root_link, and
+  // the backward pass expands the rest of its chain.
+  void collect_antecedents(std::uint32_t conflict, std::size_t root_end);
+  // Sets antecedents_ to the root-link-tagged reason of root-assigned `v`:
+  // the derivation of a clause containing a root-true literal, or the
+  // first link of a contradiction with a root-false one.
+  void collect_root_reason(Var v);
+  // Verifies scratch_ as RUP; fills antecedents_ on success.
+  bool check_rup();
+  // Commits antecedents_ as the derivation of the empty clause.
+  void record_empty_derivation();
+  // Removes one live, non-root-reason copy of scratch_; false if none.
+  bool delete_clause();
+  // Builds the deletion index over every live clause.
+  void build_index();
   void build_trim_and_core(const Proof& proof);
 
   std::size_t num_original_clauses_ = 0;
-  std::vector<DbClause> clauses_;
-  // Deletion lookup (normalized literals -> live clause ids), built
-  // lazily on the first deletion: deletion-free traces never pay for it,
-  // and the map costs a full literal-vector copy per stored clause.
-  std::map<std::vector<Lit>, std::vector<std::uint32_t>> live_by_lits_;
-  bool live_index_built_ = false;
-  std::vector<std::vector<std::uint32_t>> watches_;  // by literal code
-  std::vector<Value> assign_;                        // by variable
-  std::vector<Lit> trail_;
+  std::vector<ClauseHeader> clauses_;
+  std::vector<Lit> lits_;  // the clause arena
+  // Antecedents of clause id: ante_pool_[ante_start_[id], ante_start_[id+1]),
+  // root chain heads tagged with root_link.
+  std::vector<std::uint32_t> ante_pool_;
+  std::vector<std::uint32_t> ante_start_{0};
+
+  // Deletion index, built on the first deletion: live clause ids keyed by
+  // the hash of their literal set. Its nodes come from a pool that takes
+  // back the node of every deleted clause, so steady-state upkeep does not
+  // reach the heap.
+  bool index_built_ = false;
+  std::pmr::unsynchronized_pool_resource index_pool_;
+  std::pmr::unordered_multimap<std::uint32_t, std::uint32_t> index_{
+      &index_pool_};
+
+  std::vector<std::vector<Watcher>> watches_;     // by literal code
+  std::vector<std::vector<BinaryWatch>> binaries_;  // by literal code
+  std::vector<Value> lit_value_;                 // by literal code
   std::vector<std::uint32_t> reason_;  // by variable; invalid for assumptions
-  std::size_t propagate_head_ = 0;
-  std::vector<char> seen_;  // collect_antecedents scratch, by variable
+  std::vector<std::uint32_t> trail_pos_;  // by variable, while assigned
+  std::vector<Lit> trail_;
+  std::size_t binary_head_ = 0;
+  std::size_t long_head_ = 0;
+  std::uint64_t propagations_ = 0;
+
+  // Per-step scratch, reused so the forward pass does not allocate.
+  std::vector<Lit> scratch_;                // the step's normalized literals
+  std::vector<std::uint32_t> antecedents_;  // collect_antecedents output
+  std::vector<char> seen_;                  // by variable
+  std::vector<Var> root_seen_;              // root variables marked in seen_
+  std::vector<char> lit_mark_;              // by literal code
 
   bool derived_empty_ = false;
   std::vector<std::uint32_t> empty_antecedents_;

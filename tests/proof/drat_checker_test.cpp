@@ -2,7 +2,10 @@
 // trimming and UNSAT-core extraction on hand-built traces.
 #include <gtest/gtest.h>
 
+#include "core/solver.h"
+#include "gen/pigeonhole.h"
 #include "proof/drat_checker.h"
+#include "proof/proof_writer.h"
 #include "test_util.h"
 
 namespace berkmin {
@@ -100,6 +103,52 @@ TEST(DratChecker, DeletionOfRootForcingClauseIsSkipped) {
   const proof::CheckResult result = checker.check(p);
   EXPECT_EQ(result.checked_adds, 1u) << result.error;
   EXPECT_EQ(result.skipped_deletions, 1u);
+}
+
+TEST(DratChecker, DeletionMatchesClauseWhoseWatchesMoved) {
+  // Root unit -1 moves the watches of (1 2 3), so the stored literal
+  // order no longer matches the deletion's. The deletion must still
+  // remove the clause, after which (2 3) is no longer RUP.
+  const Cnf cnf = make_cnf({{-1}, {1, 2, 3}});
+  proof::Proof p;
+  p.del(lits({1, 2, 3}));
+  p.add(lits({2, 3}));
+  proof::DratChecker checker(cnf);
+  const proof::CheckResult result = checker.check(p);
+  EXPECT_EQ(result.deletions, 1u);
+  EXPECT_EQ(result.skipped_deletions, 0u);
+  EXPECT_EQ(result.checked_adds, 0u);
+  EXPECT_EQ(result.error, "step 1: clause is not RUP");
+}
+
+TEST(DratChecker, DeletionOfBinaryRemovesItsImplications) {
+  const Cnf cnf = make_cnf({{-1, 2}, {-2, 3}});
+  proof::Proof p;
+  p.del(lits({2, -1}));
+  p.add(lits({-1, 3}));
+  proof::DratChecker checker(cnf);
+  const proof::CheckResult result = checker.check(p);
+  EXPECT_EQ(result.skipped_deletions, 0u);
+  EXPECT_EQ(result.error, "step 1: clause is not RUP");
+}
+
+TEST(DratChecker, PropagationCountIsDeterministic) {
+  const Cnf cnf = gen::pigeonhole(5);
+  proof::MemoryProofWriter writer;
+  SolverOptions options;
+  options.restart_interval = 20;  // reductions put deletions in the trace
+  Solver solver(options);
+  solver.set_proof(&writer);
+  solver.load(cnf);
+  ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
+
+  proof::DratChecker first(cnf);
+  proof::DratChecker second(cnf);
+  const proof::CheckResult a = first.check(writer.proof());
+  const proof::CheckResult b = second.check(writer.proof());
+  ASSERT_TRUE(a.valid) << a.error;
+  EXPECT_GT(a.propagations, 0u);
+  EXPECT_EQ(a.propagations, b.propagations);
 }
 
 TEST(DratChecker, ContradictoryOriginalsNeedNoProof) {

@@ -20,6 +20,14 @@ TEST(PortfolioProof, SplicedUnsatTraceVerifies) {
   options.num_threads = 4;
   options.share_clauses = true;
   options.log_proof = true;
+  // Every worker reduces from its 20th conflict on, so no race ends before
+  // the first deletion (with the default schedule a worker occasionally
+  // refuted the formula first and the trace had no deletions at all).
+  options.configs =
+      portfolio::diversified_configs(options.num_threads, options.base_seed);
+  for (portfolio::WorkerConfig& config : options.configs) {
+    config.options.restart_interval = 20;
+  }
   portfolio::PortfolioSolver portfolio(options);
   portfolio.load(cnf);
   ASSERT_EQ(portfolio.solve(), SolveStatus::unsatisfiable);
