@@ -1,4 +1,4 @@
-// Ablation bench for the beyond-paper extensions called out in DESIGN.md:
+// Ablation bench for the beyond-paper extensions:
 // learned-clause minimization, Luby restarts, and the widened top-clause
 // window (the paper's Remark 2). Compares each against stock BerkMin on
 // the full class suite — the same protocol as the paper's own ablations.

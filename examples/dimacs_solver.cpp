@@ -23,6 +23,7 @@
 #include "portfolio/portfolio.h"
 #include "proof/drat_checker.h"
 #include "proof/drat_file.h"
+#include "proof/incremental_check.h"
 #include "proof/proof_writer.h"
 #include "robustness_flags.h"
 #include "telemetry/telemetry.h"
@@ -171,13 +172,11 @@ SolverOptions options_from_args(const ArgParser& args, bool* ok) {
 }
 
 // Scripted (.icnf) mode: replay an incremental push/add/pop/solve script
-// against one persistent engine, reporting one "s" line per "a" line.
-// --check-incremental validates every SAT model against the formula
-// active at that moment and certifies every UNSAT answer by re-checking
-// the accumulated DRAT trace (selectors already elided by the solver)
-// with the lenient incremental checker — adding the failed-assumption
-// core as units for assumption-dependent answers. Exit code follows the
-// last answer (10/20/0); 1 on any error or failed check.
+// against one persistent engine (a portfolio with --threads > 1),
+// reporting one "s" line per "a" line. --check-incremental validates every
+// SAT model against the formula active at that moment and certifies every
+// UNSAT answer against it with proof::check_incremental_answer. Exit code
+// follows the last answer (10/20/0); 1 on any error or failed check.
 int run_scripted(const ArgParser& args, const std::string& path,
                  telemetry::Telemetry* hub,
                  const telemetry::SolverTelemetry* sink,
@@ -208,10 +207,8 @@ int run_scripted(const ArgParser& args, const std::string& path,
     return 1;
   }
 
-  Solver solver(options);
-  solver.set_telemetry(sink);
-  solver.set_memory_budget(mem_budget);
-  std::unique_ptr<portfolio::PortfolioSolver> race;
+  proof::MemoryProofWriter trace_writer;
+  std::unique_ptr<IncrementalSolver> engine;
   if (threads > 1) {
     portfolio::PortfolioOptions popts;
     popts.num_threads = threads;
@@ -219,14 +216,20 @@ int run_scripted(const ArgParser& args, const std::string& path,
     popts.base_seed = options.seed;
     popts.telemetry = hub;
     popts.memory_budget = mem_budget;
-    race = std::make_unique<portfolio::PortfolioSolver>(popts);
+    engine = std::make_unique<portfolio::PortfolioSolver>(popts);
+  } else {
+    auto solver = std::make_unique<Solver>(options);
+    solver->set_memory_budget(mem_budget);
+    if (want_proof) solver->set_proof(&trace_writer);
+    engine = std::move(solver);
   }
-  proof::MemoryProofWriter trace_writer;
-  if (want_proof) solver.set_proof(&trace_writer);
+  engine->set_telemetry(sink);
 
-  // Mirror of the active formula (base + open groups), for checking.
-  std::vector<std::vector<Lit>> active;
-  std::vector<std::size_t> marks;
+  // Mirror of the input, tagged by group, for checking. Script pops are
+  // LIFO: the open groups form a stack, and the popped group's clauses are
+  // the mirror's tail.
+  std::vector<proof::GroupedClause> mirror;
+  std::vector<GroupId> open_groups;
 
   std::size_t solves = 0;
   SolveStatus last = SolveStatus::unknown;
@@ -236,42 +239,29 @@ int run_scripted(const ArgParser& args, const std::string& path,
   for (const icnf::Op& op : script.ops) {
     switch (op.kind) {
       case icnf::Op::Kind::add_clause:
-        active.push_back(op.lits);
-        if (race != nullptr) {
-          race->add_clause(op.lits);
-        } else {
-          (void)solver.add_clause(op.lits);
-        }
+        mirror.push_back(proof::GroupedClause{
+            op.lits, open_groups.empty() ? no_group : open_groups.back()});
+        (void)engine->add_clause(op.lits);
         break;
       case icnf::Op::Kind::push:
-        marks.push_back(active.size());
-        if (race != nullptr) {
-          race->push_group();
-        } else {
-          solver.push_group();
-        }
+        open_groups.push_back(engine->push_group());
         break;
-      case icnf::Op::Kind::pop:
-        active.resize(marks.back());
-        marks.pop_back();
-        if (race != nullptr) {
-          race->pop_group();
-        } else {
-          solver.pop_group();
+      case icnf::Op::Kind::pop: {
+        const GroupId group = open_groups.back();
+        open_groups.pop_back();
+        while (!mirror.empty() && mirror.back().group == group) {
+          mirror.pop_back();
         }
+        (void)engine->pop_group(group);
         break;
+      }
       case icnf::Op::Kind::solve: {
         ++solves;
-        last = race != nullptr
-                   ? race->solve_with_assumptions(op.lits, budget)
-                   : solver.solve_with_assumptions(op.lits, budget);
+        last = engine->solve_with_assumptions(op.lits, budget);
         std::cout << "c query " << solves << "\ns " << to_string(last) << "\n";
         if (last == SolveStatus::satisfiable && check) {
-          Cnf formula;
-          for (const auto& clause : active) formula.add_clause(clause);
-          const std::vector<Value>& model =
-              race != nullptr ? race->model() : solver.model();
-          bool valid = formula.is_satisfied_by(model);
+          const std::vector<Value>& model = engine->model();
+          bool valid = proof::active_formula(mirror, {}).is_satisfied_by(model);
           for (const Lit a : op.lits) {
             if (a.var() >= static_cast<Var>(model.size()) ||
                 value_of_literal(model[a.var()], a) != Value::true_value) {
@@ -285,21 +275,10 @@ int run_scripted(const ArgParser& args, const std::string& path,
             failed_check = true;
           }
         }
-        if (last == SolveStatus::unsatisfiable && check && race == nullptr) {
-          Cnf formula;
-          for (const auto& clause : active) formula.add_clause(clause);
-          proof::Proof composed = trace_writer.proof();
-          if (!composed.ends_with_empty()) {
-            for (const Lit a : solver.failed_assumptions()) {
-              formula.add_unit(a);
-            }
-            composed.add({});
-          }
-          proof::DratChecker checker(formula);
-          checker.set_telemetry(sink);
-          proof::CheckOptions copts;
-          copts.allow_unverified_adds = true;
-          const proof::CheckResult result = checker.check(composed, copts);
+        if (last == SolveStatus::unsatisfiable && check) {
+          proof::Proof trace = trace_writer.proof();
+          const proof::CheckResult result = proof::check_incremental_answer(
+              mirror, {}, engine->failed_assumptions(), trace, sink);
           ++proofs_checked;
           if (!result.valid) {
             std::cerr << "error: query " << solves
@@ -325,11 +304,7 @@ int run_scripted(const ArgParser& args, const std::string& path,
     }
   }
   if (args.has_flag("stats")) {
-    const SolverStats& stats =
-        race != nullptr ? race->reports().empty()
-                              ? SolverStats{}
-                              : race->reports().front().stats
-                        : solver.stats();
+    const SolverStats& stats = engine->stats();
     std::cout << "c scripted: " << solves << " queries, groups pushed "
               << stats.groups_pushed << " popped " << stats.groups_popped
               << ", lemmas retained " << stats.pop_retained_learned

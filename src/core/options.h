@@ -108,8 +108,7 @@ struct SolverOptions {
   // Variable-activity aging ("conflict clause aging" inherited from
   // Chaff). The paper describes the mechanism but gives no constants for
   // BerkMin itself; these defaults (halve every 256 conflicts, the values
-  // the Chaff paper documents) were selected empirically — see the
-  // parameter notes in DESIGN.md.
+  // the Chaff paper documents) were selected empirically.
   std::uint32_t var_decay_interval = 256;  // conflicts between decays
   std::uint32_t var_decay_factor = 2;      // divide counters by this
 

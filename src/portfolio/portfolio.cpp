@@ -18,9 +18,10 @@ PortfolioSolver::PortfolioSolver(PortfolioOptions options)
   if (opts_.num_threads < 1) opts_.num_threads = 1;
 }
 
-void PortfolioSolver::add_clause(std::span<const Lit> lits) {
+bool PortfolioSolver::add_clause(std::span<const Lit> lits) {
   cnf_.add_clause(lits);
   ops_.push_back(PendingOp{PendingOp::Kind::clause, cnf_.num_clauses() - 1});
+  return true;
 }
 
 bool PortfolioSolver::load(const Cnf& cnf) {
@@ -30,25 +31,13 @@ bool PortfolioSolver::load(const Cnf& cnf) {
 }
 
 GroupId PortfolioSolver::push_group() {
-  GroupId group = no_group;
-  (void)try_push_group(&group);
-  return group;
-}
-
-std::string PortfolioSolver::try_push_group(GroupId* group) {
-  if (group != nullptr) *group = no_group;
-  if (!supports_groups()) {
-    return "incremental clause groups are unsupported on a proof-logging "
-           "portfolio (log_proof is set); use a single-threaded engine for "
-           "proofs of incremental queries";
-  }
+  if (!supports_groups()) return no_group;
   // The id comes from the same monotone counter each worker Solver runs,
   // so replaying this push assigns the identical handle in every worker.
   const GroupId id = next_group_id_++;
   ops_.push_back(PendingOp{PendingOp::Kind::push, 0, id, true});
   live_groups_.push_back(id);
-  if (group != nullptr) *group = id;
-  return {};
+  return id;
 }
 
 bool PortfolioSolver::group_is_live(GroupId id) const {
@@ -62,12 +51,6 @@ bool PortfolioSolver::pop_group(GroupId id) {
   live_groups_.erase(it);
   ops_.push_back(PendingOp{PendingOp::Kind::pop, 0, id, true});
   return true;
-}
-
-void PortfolioSolver::pop_group() {
-  assert(!live_groups_.empty());
-  if (live_groups_.empty()) return;
-  (void)pop_group(live_groups_.back());
 }
 
 bool PortfolioSolver::set_group_active(GroupId id, bool active) {
@@ -279,6 +262,7 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
     if (!dead_[i]) solvers_[i]->clear_stop();
   }
 
+  WallTimer race_timer;
   std::mutex winner_mutex;
   const std::vector<Lit> assumed(assumptions.begin(), assumptions.end());
 
@@ -341,15 +325,28 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
   // counters are cumulative over the workers' lifetime — warm workers keep
   // growing them call after call. A worker that died in an earlier solve
   // keeps reporting died (its stats snapshot is whatever it had reached).
+  SliceStats totals;
   for (int i = 0; i < n; ++i) {
-    reports_[static_cast<std::size_t>(i)].stats =
-        solvers_[static_cast<std::size_t>(i)]->stats();
+    WorkerReport& report = reports_[static_cast<std::size_t>(i)];
+    report.stats = solvers_[static_cast<std::size_t>(i)]->stats();
     if (dead_[static_cast<std::size_t>(i)]) {
-      reports_[static_cast<std::size_t>(i)].died = true;
-      reports_[static_cast<std::size_t>(i)].error =
-          dead_errors_[static_cast<std::size_t>(i)];
+      report.died = true;
+      report.error = dead_errors_[static_cast<std::size_t>(i)];
     }
+    totals.conflicts += report.stats.conflicts;
+    totals.decisions += report.stats.decisions;
+    totals.propagations += report.stats.propagations;
+    totals.restarts += report.stats.restarts;
+    totals.learned_clauses += report.stats.learned_clauses;
   }
+  last_slice_.conflicts = totals.conflicts - work_seen_.conflicts;
+  last_slice_.decisions = totals.decisions - work_seen_.decisions;
+  last_slice_.propagations = totals.propagations - work_seen_.propagations;
+  last_slice_.restarts = totals.restarts - work_seen_.restarts;
+  last_slice_.learned_clauses =
+      totals.learned_clauses - work_seen_.learned_clauses;
+  last_slice_.seconds = race_timer.seconds();
+  work_seen_ = totals;
   exchange_stats_ = exchange_->stats();
   publish_exchange_stats();
 
@@ -402,6 +399,24 @@ int PortfolioSolver::alive_workers() const {
     if (!d) ++alive;
   }
   return alive;
+}
+
+DatabaseShape PortfolioSolver::database_shape() const {
+  DatabaseShape shape;
+  if (winner_ < 0) return shape;
+  const SolverStats& winning =
+      reports_[static_cast<std::size_t>(winner_)].stats;
+  shape.max_live_clauses = winning.max_live_clauses;
+  shape.initial_clauses = winning.initial_clauses;
+  for (const WorkerReport& report : reports_) {
+    shape.duplicate_binaries_skipped += report.stats.duplicate_binaries_skipped;
+  }
+  return shape;
+}
+
+const SolverStats& PortfolioSolver::stats() const {
+  static const SolverStats none;
+  return reports_.empty() ? none : reports_.front().stats;
 }
 
 proof::Proof PortfolioSolver::spliced_proof() const {

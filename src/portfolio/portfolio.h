@@ -27,6 +27,7 @@
 
 #include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
+#include "core/incremental_solver.h"
 #include "core/solver.h"
 #include "portfolio/clause_exchange.h"
 #include "portfolio/diversify.h"
@@ -88,18 +89,20 @@ struct WorkerReport {
   std::string error;
 };
 
-class PortfolioSolver {
+class PortfolioSolver final : public IncrementalSolver {
  public:
   explicit PortfolioSolver(PortfolioOptions options = {});
 
   // ---- problem construction (mirrors Solver) ---------------------------
-  Var new_var() { return cnf_.add_var(); }
-  int num_vars() const { return cnf_.num_vars(); }
-  void add_clause(std::span<const Lit> lits);
-  void add_clause(std::initializer_list<Lit> lits) {
-    add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  Var new_var() override { return cnf_.add_var(); }
+  int num_vars() const override { return cnf_.num_vars(); }
+  // Only records the clause for the workers' next replay, so it returns
+  // true: a root conflict surfaces as the next solve's answer.
+  bool add_clause(std::span<const Lit> lits) override;
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
   }
-  bool load(const Cnf& cnf);
+  bool load(const Cnf& cnf) override;
 
   // ---- incremental clause groups (mirrors Solver) ------------------------
   // Every group operation is recorded in the portfolio's construction log
@@ -127,19 +130,12 @@ class PortfolioSolver {
   // Contract: push_group() returns the new group's handle (>= 0) on
   // success, or no_group — recording nothing — when groups are
   // unsupported in this configuration (today: exactly when log_proof is
-  // set, i.e. supports_groups() is false). Callers that need the reason
-  // should use try_push_group(), which mirrors the service's
-  // JobOutcome::unsupported idiom: on success it returns the empty string
-  // and writes the handle to *group; on refusal it returns a non-empty
-  // human-readable reason and leaves the portfolio untouched.
-  GroupId push_group();
-  std::string try_push_group(GroupId* group);
+  // set, i.e. supports_groups() is false).
+  GroupId push_group() override;
   // Retracts the named group; false (nothing recorded) for a dead handle.
-  bool pop_group(GroupId id);
-  // LIFO convenience: retracts the most recently pushed live group.
-  void pop_group();
-  bool set_group_active(GroupId id, bool active);
-  bool add_clause_to_group(GroupId id, std::span<const Lit> lits);
+  bool pop_group(GroupId id) override;
+  bool set_group_active(GroupId id, bool active) override;
+  bool add_clause_to_group(GroupId id, std::span<const Lit> lits) override;
   bool group_is_live(GroupId id) const;
   bool supports_groups() const { return !opts_.log_proof; }
   int num_groups() const { return static_cast<int>(live_groups_.size()); }
@@ -154,24 +150,41 @@ class PortfolioSolver {
   // learned clauses, activities and exchange cursors carry over — repeated
   // assumption queries and budget slices resume instead of restarting.
   SolveStatus solve(const Budget& budget = Budget::unlimited());
-  SolveStatus solve_with_assumptions(std::span<const Lit> assumptions,
-                                     const Budget& budget = Budget::unlimited());
+  SolveStatus solve_with_assumptions(
+      std::span<const Lit> assumptions,
+      const Budget& budget = Budget::unlimited()) override;
 
   // Thread-safe: cancels an in-flight solve (every worker returns unknown
   // at its next search step unless it already finished). Sticky, matching
   // Solver's contract: a request that races the start of solve() still
   // cancels it, and later solves stay cancelled until clear_stop().
-  void request_stop() { user_stop_.store(true, std::memory_order_relaxed); }
-  void clear_stop() { user_stop_.store(false, std::memory_order_relaxed); }
+  void request_stop() override {
+    user_stop_.store(true, std::memory_order_relaxed);
+  }
+  void clear_stop() override {
+    user_stop_.store(false, std::memory_order_relaxed);
+  }
 
   // ---- results (valid after solve) -------------------------------------
-  const std::vector<Value>& model() const { return model_; }
+  const std::vector<Value>& model() const override { return model_; }
   bool model_value(Lit l) const {
     return value_of_literal(model_[l.var()], l) == Value::true_value;
   }
-  const std::vector<Lit>& failed_assumptions() const {
+  const std::vector<Lit>& failed_assumptions() const override {
     return failed_assumptions_;
   }
+  // The race's work: every worker's cumulative counters summed, minus the
+  // sums after the previous call (workers stay warm across calls).
+  const SliceStats& last_slice() const override { return last_slice_; }
+  // The winner's database (zero when the last solve returned unknown),
+  // with import dedupe summed over every worker.
+  DatabaseShape database_shape() const override;
+  // Worker 0's cumulative stats (empty before the first solve); the
+  // replayed construction log gives every worker the same group counters.
+  const SolverStats& stats() const override;
+  // Workers report through PortfolioOptions::telemetry, on their own
+  // threads; a caller's sink is not used.
+  void set_telemetry(const telemetry::SolverTelemetry*) override {}
 
   // Index/name of the worker whose answer was returned (-1 / "" when the
   // last solve returned unknown).
@@ -274,6 +287,8 @@ class PortfolioSolver {
   std::vector<Lit> failed_assumptions_;
   std::vector<WorkerReport> reports_;
   ExchangeStats exchange_stats_;
+  SliceStats last_slice_;
+  SliceStats work_seen_;  // worker counter sums after the previous call
 };
 
 }  // namespace berkmin::portfolio

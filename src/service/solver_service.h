@@ -5,9 +5,16 @@
 // (slice_conflicts conflicts at a time), so a short job submitted behind a
 // hard one is never starved: after each slice the long job re-enters the
 // run queue — keeping its learned clauses, variable activities and saved
-// polarities, because the job's Solver survives between slices and the
+// polarities, because the job's engine survives between slices and the
 // core's budgets are per-call — and the scheduler picks the next job by
 // consumed slices, explicit priority, and waiting-time aging.
+//
+// Every job runs on a session behind the one IncrementalSolver interface:
+// a session_solve() query on a session the caller opened, or a submitted
+// job on a private single-solve session whose engine (one solver, or a
+// portfolio race for threads > 1) is built from the job's formula at its
+// first slice. One slice path serves both; engine ownership, the death
+// policy and the proof-check mode are properties of the session.
 //
 // Lifecycle: queued → running ⇄ preempted → done/cancelled. Individual
 // jobs can be cancelled mid-slice (the slice stops at the solver's next
@@ -33,9 +40,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/solver.h"
-#include "portfolio/portfolio.h"
-#include "proof/proof_writer.h"
+#include "core/incremental_solver.h"
+#include "proof/incremental_check.h"
+#include "proof/proof.h"
 #include "service/job.h"
 #include "telemetry/telemetry.h"
 #include "util/timer.h"
@@ -226,44 +233,52 @@ class SolverService {
   telemetry::MetricsSnapshot metrics_snapshot() const;
 
  private:
-  // One incremental session: the persistent engine plus a mirror of the
-  // *active* formula in external numbering for per-answer proof checking.
-  // Groups retract in any order (session_pop by id), so the mirror tags
-  // every clause with its owning group instead of relying on stack shape:
-  // a pop erases exactly the popped group's clauses, and certification
-  // skips clauses of groups parked inactive at solve time.
-  struct MirrorClause {
-    std::vector<Lit> lits;
-    GroupId group = no_group;  // no_group = root formula, never retracted
+  // What a session's engine is: the solver behind the one incremental
+  // interface, plus (when proofs are logged) the source of its DRAT trace.
+  // `take` moves the trace out — only for an engine's last answer.
+  // The trace source is declared first so the engine, which logs into it,
+  // is destroyed first.
+  struct Engine {
+    std::function<proof::Proof(bool take)> trace;
+    std::unique_ptr<IncrementalSolver> solver;
   };
   struct SessionGroup {
     GroupId id = no_group;
     bool active = true;
   };
+  // Every job runs on a session: the session the caller opened, or, for a
+  // submitted job, a private single-solve session. Where the two differ is
+  // a property of the session, read by the one slice path:
+  //   * Engine ownership. A job-owned engine is built from the job's
+  //     formula at its first slice and released when the job finishes; a
+  //     dead slice discards it, and the job rebuilds it from the formula,
+  //     at most ServiceOptions::max_slice_retries times. An opened
+  //     session's engine is built by open_session and outlives its jobs; a
+  //     dead slice poisons the session (`unsupported` gets the reason),
+  //     because its groups and learned state cannot be rebuilt faithfully.
+  //   * Check mode. A job's UNSAT trace must end with the empty clause and
+  //     is checked strictly against the job's formula. A session's answer
+  //     is checked leniently against the formula active at that moment
+  //     (proof::check_incremental_answer).
+  //   * `unsupported`: when non-empty (proof logging with threads > 1, or a
+  //     poisoned session) every solve finishes at once with
+  //     JobOutcome::unsupported carrying this reason.
   struct Session {
-    SessionId id = invalid_session;
+    SessionId id = invalid_session;  // invalid_session when job-owned
+    bool job_owned = false;
     SessionRequest request;
-    std::unique_ptr<Solver> solver;
-    std::unique_ptr<portfolio::PortfolioSolver> portfolio;
-    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
-    std::vector<MirrorClause> clauses;
+    Engine engine;
+    // Opened sessions with verified proofs mirror their input, tagged by
+    // group, for the per-answer check: a pop erases exactly the popped
+    // group's clauses, and parked groups are left out of the check.
+    std::vector<proof::GroupedClause> clauses;
     // Live groups in push order (innermost last) with their active flags;
     // the session validates handles here before touching the engine.
     std::vector<SessionGroup> groups;
     bool busy = false;    // a session solve is queued or running
     bool closed = false;
-    // Non-empty when the session was opened with a feature combo the
-    // service cannot serve yet (proof logging + threads > 1): mutations
-    // still maintain the session, but every solve finishes immediately
-    // with JobOutcome::unsupported carrying this reason.
     std::string unsupported;
     std::uint64_t solves = 0;
-    // Portfolio worker stats are cumulative across the whole session;
-    // per-job slices are charged as deltas from here.
-    std::uint64_t seen_conflicts = 0;
-    std::uint64_t seen_decisions = 0;
-    std::uint64_t seen_propagations = 0;
-    std::uint64_t seen_learned = 0;
   };
 
   struct Job {
@@ -284,28 +299,11 @@ class SolverService {
     bool watchdog_fired = false;
     int fault_retries = 0;
 
-    // Session solve: the engine lives in the session, not the job, and
-    // survives the job's completion.
+    // The session the job solves on; released when the job finishes.
     std::shared_ptr<Session> session;
-
-    // Engine — exactly one is non-null once loaded (threads > 1 picks the
-    // portfolio). Reset when the job finishes to release memory.
-    std::unique_ptr<Solver> solver;
-    std::unique_ptr<portfolio::PortfolioSolver> portfolio;
-    bool loaded = false;
-    // Proof plumbing (JobProofOptions): single-solver jobs log into this
-    // writer across all their slices (portfolio jobs log through the
-    // engine's own splicer). For DIMACS-path jobs the parsed formula is
-    // retained for the in-tree check / core extraction; inline jobs read
-    // request.cnf directly.
-    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
+    // DIMACS-path jobs that verify their proof keep the parsed formula for
+    // the strict check; inline jobs read request.cnf directly.
     Cnf proof_formula;
-    // Portfolio stats are cumulative across warm calls; remember the
-    // previous totals so slices can be charged as deltas.
-    std::uint64_t portfolio_seen_conflicts = 0;
-    std::uint64_t portfolio_seen_decisions = 0;
-    std::uint64_t portfolio_seen_propagations = 0;
-    std::uint64_t portfolio_seen_learned = 0;
 
     JobResult result;
     bool finished = false;
@@ -326,23 +324,33 @@ class SolverService {
                                     std::shared_ptr<Session> session = nullptr);
   // Looks up an open, idle session for a mutation. Must hold lock_.
   std::shared_ptr<Session> mutable_session_locked(SessionId id);
-  // One slice of one session job, running against the persistent engine.
-  // `sink` is the calling worker's telemetry sink (nullptr without a hub).
-  void run_session_slice(const std::shared_ptr<Job>& job,
-                         telemetry::SolverTelemetry* sink);
-  // Shared slice protocol of run_slice/run_session_slice: the pre-flight
-  // (finish a cancelled or already-past-deadline job without spending a
-  // slice on it — returns true when the job went terminal) and the slice
-  // budget (service-wide slice size clamped by what remains of the job's
-  // conflict budget and deadline). Called without the lock held.
+  // The engine factory: the only service code that names a concrete
+  // engine (a Solver, or a PortfolioSolver for threads > 1).
+  Engine make_engine(const SolverOptions& options, int threads,
+                     bool log_proof) const;
+  // Builds a job-owned engine from the job's formula (parsing a DIMACS
+  // path first) outside the lock and publishes it under the lock, where
+  // cancel() and the watchdog reach it. Returns false when the job went
+  // terminal instead (unloadable formula, or cancelled meanwhile).
+  bool load_job_engine(const std::shared_ptr<Job>& job);
+  // Stops a running job's slice at its engine's next search step. Must
+  // hold lock_.
+  void stop_slice_locked(const Job& job);
+  // The slice pre-flight (finish a cancelled or already-past-deadline job
+  // without spending a slice on it — returns true when the job went
+  // terminal) and the slice budget (service-wide slice size clamped by
+  // what remains of the job's conflict budget and deadline). Called
+  // without the lock held.
   bool finish_if_preempted_terminal(const std::shared_ptr<Job>& job);
   Budget slice_budget(const Job& job) const;
   // Picks the runnable job with the best (lowest) schedule key, or null.
   std::shared_ptr<Job> pop_ready_locked();
   double schedule_key_locked(const Job& job) const;
   void enqueue_ready_locked(const std::shared_ptr<Job>& job);
-  // One slice of one job: load if needed, solve under the slice budget,
-  // then classify the outcome. Called without the lock held.
+  // One slice of any job: build a job-owned engine if needed, solve under
+  // the slice budget, certify an UNSAT answer in the session's check mode,
+  // then classify the outcome. `sink` is the calling worker's telemetry
+  // sink (nullptr without a hub). Called without the lock held.
   void run_slice(const std::shared_ptr<Job>& job,
                  telemetry::SolverTelemetry* sink);
   // Moves a job to a terminal state, fills the remaining result fields and

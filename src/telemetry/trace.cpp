@@ -81,8 +81,8 @@ const char* arg_b_name(EventKind kind) {
     case EventKind::job_dispatch: return "slice_index";
     case EventKind::job_preempted: return "slices";
     case EventKind::job_complete: return "outcome";
-    case EventKind::session_push: return "depth";
-    case EventKind::session_pop: return "depth";
+    case EventKind::session_push: return "group";
+    case EventKind::session_pop: return "group";
     case EventKind::check_verify: return "valid";
     case EventKind::check_trim: return "core_clauses";
   }

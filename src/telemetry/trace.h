@@ -38,8 +38,8 @@ enum class EventKind : std::uint8_t {
   job_dispatch,     // a=job id, b=slice index (0-based)
   job_preempted,    // a=job id, b=slices so far
   job_complete,     // a=job id, b=JobOutcome
-  session_push,     // a=session id, b=assumption-group depth
-  session_pop,      // a=session id, b=assumption-group depth
+  session_push,     // a=session id, b=GroupId of the pushed group
+  session_pop,      // a=session id, b=GroupId of the popped group
   check_verify,     // span; a=clause additions checked, b=valid (0/1)
   check_trim,       // span; a=trimmed proof length, b=core clause count
 };

@@ -1,9 +1,33 @@
 #include "util/cli.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
 namespace berkmin {
+
+namespace {
+
+// True when the whole of `text` is one finite number that get_double reads,
+// and, when it is an integer, one that get_int reads without overflow.
+bool is_number(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const char* begin = text.c_str();
+  const char* const whole = begin + text.size();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (end != whole || errno == ERANGE || !std::isfinite(value)) return false;
+  errno = 0;
+  (void)std::strtoll(begin, &end, 10);
+  return end != whole || errno != ERANGE;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) raw_.emplace_back(argv[i]);
@@ -44,14 +68,19 @@ bool ArgParser::parse() {
         return false;
       }
       values_[name] = "1";
-    } else if (has_inline) {
-      values_[name] = inline_value;
     } else {
-      if (i + 1 >= raw_.size()) {
+      if (!has_inline && i + 1 >= raw_.size()) {
         error_ = "option --" + name + " requires a value";
         return false;
       }
-      values_[name] = raw_[++i];
+      const std::string& value = has_inline ? inline_value : raw_[++i];
+      // An option registered with a numeric default is read as a number;
+      // garbage would otherwise parse silently as 0.
+      if (is_number(it->second.default_value) && !is_number(value)) {
+        error_ = "option --" + name + " expects a number (got '" + value + "')";
+        return false;
+      }
+      values_[name] = value;
     }
   }
   return true;

@@ -20,7 +20,9 @@ class ArgParser {
   void add_option(const std::string& name, const std::string& default_value,
                   const std::string& help);
 
-  // Returns false (and fills error()) on unknown or malformed options.
+  // Returns false (and fills error()) on unknown or malformed options. An
+  // option whose registered default is a number only takes a number: an
+  // empty value, trailing characters or an out-of-range value is malformed.
   bool parse();
 
   bool has_flag(const std::string& name) const;

@@ -1,8 +1,13 @@
 // Resource-governor behaviour: memory budgets degrading solvers in tiers
-// instead of dying, service watchdogs preempting stuck slices, pressure
-// refusing admission, slice-death retries with bounded give-up, and
-// session poisoning after an engine dies mid-solve.
+// instead of dying, service watchdogs preempting stuck slices (on jobs
+// and sessions, at 1 and 2 threads, with cancellation, deadline and budget
+// expiry alongside), pressure refusing admission, slice-death retries with
+// bounded give-up, and session poisoning after an engine dies mid-solve.
+#include <chrono>
+#include <optional>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/solver.h"
@@ -141,29 +146,176 @@ TEST(ServiceGovernor, CriticalPressureRefusesAdmission) {
   service.shutdown(service::SolverService::Shutdown::drain);
 }
 
-TEST(ServiceGovernor, WatchdogPreemptsStalledSlice) {
-  // The first slice stalls 200ms; a 20ms watchdog must fire, preempt it,
-  // and let the rescheduled slice finish the job normally.
+// The slice lifecycle on both kinds of job — a submitted job (served as a
+// private single-solve session) and a query on an opened session — at 1
+// and 2 threads: watchdog preemption, cancellation, deadline and budget
+// expiry all go through the one slice path.
+struct LifecycleCase {
+  bool session = false;
+  int threads = 1;
+};
+
+// Names the case in test listings (the default would print raw bytes).
+void PrintTo(const LifecycleCase& c, std::ostream* out) {
+  *out << (c.session ? "session" : "job") << "_t" << c.threads;
+}
+
+class ServiceLifecycle : public ::testing::TestWithParam<LifecycleCase> {
+ protected:
+  // Queues `cnf` as this case's kind of job. A session case opens a fresh
+  // session; follow_up() then queries that same session again.
+  std::optional<service::JobId> start(service::SolverService& service,
+                                      const Cnf& cnf,
+                                      service::JobLimits limits = {}) {
+    if (!GetParam().session) {
+      cnf_ = cnf;
+      return follow_up(service, limits);
+    }
+    service::SessionRequest request;
+    request.threads = GetParam().threads;
+    const auto sid = service.open_session(request);
+    if (!sid.has_value()) return std::nullopt;
+    session_ = *sid;
+    for (const auto& clause : cnf.clauses()) {
+      if (!service.session_add_clause(session_, clause)) return std::nullopt;
+    }
+    return follow_up(service, limits);
+  }
+
+  std::optional<service::JobId> follow_up(service::SolverService& service,
+                                          service::JobLimits limits = {}) {
+    if (GetParam().session) return service.session_solve(session_, {}, limits);
+    service::JobRequest request;
+    request.cnf = cnf_;
+    request.limits = limits;
+    request.limits.threads = GetParam().threads;
+    return service.submit(std::move(request));
+  }
+
+  // Runs `cnf` on a fresh service with no faults injected.
+  service::JobResult reference(const Cnf& cnf,
+                               const service::ServiceOptions& sopts,
+                               service::JobLimits limits) {
+    service::SolverService service(sopts);
+    const auto id = start(service, cnf, limits);
+    EXPECT_TRUE(id.has_value());
+    return id.has_value() ? service.wait(*id) : service::JobResult{};
+  }
+
+ private:
+  Cnf cnf_;
+  service::SessionId session_ = service::invalid_session;
+};
+
+// A stall injected ahead of the solve: the engine is published, so the
+// watchdog (or a cancel) lands while the slice is running.
+FaultPlan stall_first_slice() {
   FaultPlan plan;
   plan.seed = 3;
-  plan.stall_ms = 200;
+  plan.stall_ms = 250;
   plan.arm(FaultSite::worker_stall, 1.0, 1);
-  FaultInjector injector(plan);
-  ScopedInjector installed(&injector);
+  return plan;
+}
 
+TEST_P(ServiceLifecycle, WatchdogPreemptsStalledSlice) {
+  // The first slice stalls 250ms; a 50ms watchdog must fire, preempt it,
+  // and let the rescheduled slice finish the job with the right answer.
+  // If the stopped engine were not un-latched, every later slice would
+  // stop at once until the deadline.
   service::ServiceOptions sopts;
   sopts.num_workers = 1;
-  sopts.watchdog_seconds = 0.02;
+  sopts.watchdog_seconds = 0.05;
+  service::JobLimits limits;
+  limits.deadline_seconds = 10.0;
+  const Cnf cnf = gen::pigeonhole(5);
+  const service::JobResult unpreempted = reference(cnf, sopts, limits);
+  ASSERT_EQ(unpreempted.status, SolveStatus::unsatisfiable);
+
+  FaultInjector injector(stall_first_slice());
+  ScopedInjector installed(&injector);
   service::SolverService service(sopts);
-  service::JobRequest request;
-  request.cnf = gen::random_ksat(12, 50, 3, 9);
-  const auto id = service.submit(std::move(request));
+  const auto id = start(service, cnf, limits);
   ASSERT_TRUE(id.has_value());
   const service::JobResult result = service.wait(*id);
   EXPECT_EQ(result.outcome, service::JobOutcome::completed) << result.error;
+  EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
+  EXPECT_GE(result.preemptions, 1u);
   EXPECT_GE(service.stats().watchdog_fires, 1u);
+  if (GetParam().threads == 1) {
+    // The watchdog stopped the engine before its search started, so the
+    // resumed slices do exactly the unpreempted run's work.
+    EXPECT_EQ(result.conflicts, unpreempted.conflicts);
+    EXPECT_EQ(result.decisions, unpreempted.decisions);
+    EXPECT_EQ(result.propagations, unpreempted.propagations);
+    EXPECT_EQ(result.learned_clauses, unpreempted.learned_clauses);
+  }
   service.shutdown(service::SolverService::Shutdown::drain);
 }
+
+TEST_P(ServiceLifecycle, CancelMidSliceThenQueryAgain) {
+  // Cancel lands during the stalled slice; the sticky stop must not leak
+  // into the follow-up query (on a session, the same engine answers it).
+  FaultInjector injector(stall_first_slice());
+  ScopedInjector installed(&injector);
+  service::ServiceOptions sopts;
+  sopts.num_workers = 1;
+  service::SolverService service(sopts);
+  const auto id = start(service, gen::pigeonhole(5));
+  ASSERT_TRUE(id.has_value());
+  while (service.state(*id) != service::JobState::running) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(service.cancel(*id));
+  const service::JobResult cancelled = service.wait(*id);
+  EXPECT_EQ(cancelled.outcome, service::JobOutcome::cancelled);
+  EXPECT_EQ(cancelled.status, SolveStatus::unknown);
+
+  const auto again = follow_up(service);
+  ASSERT_TRUE(again.has_value());
+  const service::JobResult result = service.wait(*again);
+  EXPECT_EQ(result.outcome, service::JobOutcome::completed) << result.error;
+  EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
+  service.shutdown(service::SolverService::Shutdown::drain);
+}
+
+TEST_P(ServiceLifecycle, DeadlineExpires) {
+  service::ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.slice_conflicts = 500;
+  service::SolverService service(sopts);
+  service::JobLimits limits;
+  limits.deadline_seconds = 0.05;
+  const auto id = start(service, gen::pigeonhole(10), limits);
+  ASSERT_TRUE(id.has_value());
+  const service::JobResult result = service.wait(*id);
+  EXPECT_EQ(result.outcome, service::JobOutcome::deadline_expired);
+  EXPECT_EQ(result.status, SolveStatus::unknown);
+  EXPECT_EQ(service.stats().deadline_expired, 1u);
+  service.shutdown(service::SolverService::Shutdown::cancel_pending);
+}
+
+TEST_P(ServiceLifecycle, BudgetExhausts) {
+  service::ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.slice_conflicts = 100;
+  service::SolverService service(sopts);
+  service::JobLimits limits;
+  limits.max_conflicts = 300;
+  const auto id = start(service, gen::pigeonhole(10), limits);
+  ASSERT_TRUE(id.has_value());
+  const service::JobResult result = service.wait(*id);
+  EXPECT_EQ(result.outcome, service::JobOutcome::budget_exhausted);
+  EXPECT_EQ(result.status, SolveStatus::unknown);
+  EXPECT_GE(result.conflicts, 300u);
+  EXPECT_GE(result.preemptions, 1u);
+  EXPECT_EQ(service.stats().budget_exhausted, 1u);
+  service.shutdown(service::SolverService::Shutdown::drain);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, ServiceLifecycle,
+    ::testing::Values(LifecycleCase{false, 1}, LifecycleCase{false, 2},
+                      LifecycleCase{true, 1}, LifecycleCase{true, 2}));
 
 TEST(ServiceGovernor, SliceDeathRetriesThenGivesUp) {
   // Every slice dies (rate 1, effectively unbounded fires); with one

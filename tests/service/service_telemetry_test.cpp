@@ -149,18 +149,33 @@ TEST(ServiceTelemetry, ControlRingCarriesJobAndSessionLifecycle) {
   service.wait(b);
   service.wait(c);
   ASSERT_TRUE(service.session_pop(*sid));
+  // Groups retract in any order, so the push/pop events carry the GroupId
+  // (a depth would read 1, 1, 2, 3 for the pushes and 2 for this pop).
+  const auto g1 = service.session_push(*sid);
+  const auto g2 = service.session_push(*sid);
+  const auto g3 = service.session_push(*sid);
+  ASSERT_TRUE(g1 && g2 && g3);
+  ASSERT_TRUE(service.session_pop(*sid, *g1));
   EXPECT_TRUE(service.close_session(*sid));
   service.shutdown();
 
   std::set<EventKind> kinds;
   std::uint64_t slice_spans = 0;
+  std::vector<std::uint64_t> pushed;
+  std::vector<std::uint64_t> popped;
   for (const TaggedEvent& e : hub.drain_trace()) {
     kinds.insert(e.event.kind);
     if (e.event.kind == EventKind::slice) {
       ++slice_spans;
       EXPECT_GT(e.event.dur_ns, 0);
     }
+    if (e.event.kind == EventKind::session_push) pushed.push_back(e.event.b);
+    if (e.event.kind == EventKind::session_pop) popped.push_back(e.event.b);
   }
+  EXPECT_EQ(pushed, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  ASSERT_EQ(popped.size(), 2u);
+  EXPECT_EQ(popped[0], 0u);
+  EXPECT_EQ(popped[1], static_cast<std::uint64_t>(*g1));
   EXPECT_TRUE(kinds.count(EventKind::job_queued));
   EXPECT_TRUE(kinds.count(EventKind::job_dispatch));
   EXPECT_TRUE(kinds.count(EventKind::job_complete));

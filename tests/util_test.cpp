@@ -162,6 +162,43 @@ TEST(Cli, RejectsMissingValue) {
   EXPECT_FALSE(parser.parse());
 }
 
+TEST(Cli, NumericOptionsRejectGarbage) {
+  const auto parses = [](const char* value) {
+    const char* argv[] = {"prog", "--count", value};
+    ArgParser parser(3, argv);
+    parser.add_option("count", "1", "a count");
+    parser.add_option("name", "x", "free text");
+    const bool ok = parser.parse();
+    if (!ok) {
+      EXPECT_NE(parser.error().find("--count expects a number"),
+                std::string::npos)
+          << parser.error();
+    }
+    return ok;
+  };
+  EXPECT_TRUE(parses("12"));
+  EXPECT_TRUE(parses("-3"));
+  EXPECT_TRUE(parses("1.5"));
+  EXPECT_FALSE(parses("abc"));
+  EXPECT_FALSE(parses("1.5x"));
+  EXPECT_FALSE(parses(""));
+  EXPECT_FALSE(parses(" 7"));
+  EXPECT_FALSE(parses("99999999999999999999"));
+  EXPECT_FALSE(parses("1e999"));
+  EXPECT_FALSE(parses("nan"));
+
+  // The inline form is checked too; options with text defaults are not.
+  const char* argv[] = {"prog", "--count=4x", "--name", "7y"};
+  ArgParser inline_form(4, argv);
+  inline_form.add_option("count", "1", "a count");
+  inline_form.add_option("name", "x", "free text");
+  EXPECT_FALSE(inline_form.parse());
+  const char* text_argv[] = {"prog", "--name", "7y"};
+  ArgParser text(3, text_argv);
+  text.add_option("name", "x", "free text");
+  EXPECT_TRUE(text.parse()) << text.error();
+}
+
 TEST(Cli, HelpMentionsOptions) {
   const char* argv[] = {"prog"};
   ArgParser parser(1, argv);
