@@ -24,6 +24,7 @@
 #include <iostream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,20 @@ std::string result_json(const service::JobResult& result, int model_valid) {
   return out.str();
 }
 
+// A manifest number must be the whole value: std::stoi and friends stop
+// at the first character they cannot use ("2x" would read as 2), and an
+// integer key takes no fraction or exponent ("2.5" would read as 2).
+const std::string& whole_number(const std::string& text, bool integer) {
+  bool ok = is_number(text);
+  if (ok && integer) {
+    std::size_t used = 0;
+    (void)std::stoll(text, &used);
+    ok = used == text.size();
+  }
+  if (!ok) throw std::invalid_argument("not a number: " + text);
+  return text;
+}
+
 // Parses one manifest line into an entry. Returns false with *error set
 // on malformed lines.
 bool parse_entry(const std::string& line, const service::JobLimits& defaults,
@@ -148,18 +163,20 @@ bool parse_entry(const std::string& line, const service::JobLimits& defaults,
       if (key == "name") {
         entry->name = value;
       } else if (key == "deadline-ms") {
-        entry->limits.deadline_seconds = std::stod(value) / 1000.0;
+        entry->limits.deadline_seconds =
+            std::stod(whole_number(value, false)) / 1000.0;
       } else if (key == "conflicts") {
-        entry->limits.max_conflicts = std::stoull(value);
+        entry->limits.max_conflicts = std::stoull(whole_number(value, true));
       } else if (key == "threads") {
-        entry->limits.threads = std::stoi(value);
+        entry->limits.threads = std::stoi(whole_number(value, true));
       } else if (key == "priority") {
-        entry->limits.priority = std::stoi(value);
+        entry->limits.priority = std::stoi(whole_number(value, true));
       } else if (key == "assume") {
         std::istringstream dimacs(value);
         std::string item;
         while (std::getline(dimacs, item, ',')) {
-          entry->assumptions.push_back(from_dimacs(std::stoi(item)));
+          entry->assumptions.push_back(
+              from_dimacs(std::stoi(whole_number(item, true))));
         }
       } else {
         *error = "unknown manifest key '" + key + "'";

@@ -12,12 +12,10 @@
 // --check-model / proof verification.
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <memory>
 
 #include "cnf/dimacs.h"
 #include "cnf/icnf.h"
-#include "cnf/preprocess.h"
 #include "core/solver.h"
 #include "gen/registry.h"
 #include "portfolio/portfolio.h"
@@ -152,6 +150,7 @@ SolverOptions options_from_args(const ArgParser& args, bool* ok) {
   // Inprocessing defaults ON for the CLI (the library default is off so
   // embedders opt in); --no-inprocess restores the pure paper engine.
   options.inprocess.enabled = !args.has_flag("no-inprocess");
+  options.inprocess.presearch_subsumption = args.has_flag("preprocess");
   if (const std::string policy = args.get_string("reduce-policy");
       !policy.empty()) {
     if (policy == "glue") {
@@ -374,9 +373,10 @@ int main(int argc, char** argv) {
   args.add_option("icnf-out", "", "synthesize a push/pop edit script from "
                   "the loaded formula, write it to this file, and exit");
   args.add_option("icnf-seed", "0", "seed for --icnf-out synthesis");
-  args.add_flag("preprocess", "run subsumption preprocessing first (composes "
-                "with --drat/--unsat-core: the rewrites lead the proof "
-                "trace, checked against the original formula)");
+  args.add_flag("preprocess", "run one subsumption/self-subsumption round of "
+                "the inprocessor before search, in every worker (composes "
+                "with --drat/--unsat-core: the rewrites are proof-logged "
+                "and the trace still checks against the input formula)");
   args.add_flag("inprocess", "inprocess at restart boundaries: failed-literal "
                 "probing, subsumption/self-subsumption, vivification, and "
                 "(single-shot runs) bounded variable elimination — on by "
@@ -548,66 +548,6 @@ int main(int argc, char** argv) {
 
   const int threads = static_cast<int>(args.get_int("threads"));
 
-  // Proof sinks are created before preprocessing so that the
-  // preprocessor's rewrites become the leading steps of the very trace
-  // the solver continues — one proof, checkable against the original
-  // (unpreprocessed) formula. Core extraction needs the whole trace in
-  // memory; plain --drat streams straight to disk as the search runs.
-  proof::MemoryProofWriter memory_proof;
-  std::ofstream drat_stream;
-  std::unique_ptr<proof::ProofWriter> stream_writer;
-  proof::ProofWriter* seq_writer = nullptr;  // single-thread proof sink
-  if (threads <= 1 && want_proof) {
-    if (!core_path.empty()) {
-      seq_writer = &memory_proof;
-    } else {
-      drat_stream.open(drat_path, std::ios::binary);
-      if (!drat_stream) {
-        std::cerr << "error: cannot open '" << drat_path << "' for the proof\n";
-        return 1;
-      }
-      if (drat_format == proof::DratFormat::binary) {
-        stream_writer = std::make_unique<proof::BinaryDratWriter>(drat_stream);
-      } else {
-        stream_writer = std::make_unique<proof::TextDratWriter>(drat_stream);
-      }
-      seq_writer = stream_writer.get();
-    }
-  }
-  // Portfolio runs log preprocessing into a memory buffer whose steps are
-  // prepended to the spliced trace after the race.
-  proof::MemoryProofWriter pre_writer;
-  // The certification target: proofs are checked against the formula as
-  // given, not the preprocessed rewrite the solver saw.
-  Cnf original;
-  const bool certify_original = args.has_flag("preprocess") && want_proof;
-  if (args.has_flag("preprocess")) {
-    if (want_proof) original = cnf;
-    proof::ProofWriter* pre_proof =
-        want_proof ? (threads > 1 ? static_cast<proof::ProofWriter*>(&pre_writer)
-                                  : seq_writer)
-                   : nullptr;
-    const PreprocessResult pre = preprocess(cnf, {}, pre_proof);
-    if (pre.unsat) {
-      std::cout << "s UNSATISFIABLE\nc (by preprocessing)\n";
-      // The trace already ends with the empty clause. Streamed proofs are
-      // complete on disk; buffered ones still need certification/writing.
-      if (want_proof && (threads > 1 || !core_path.empty())) {
-        const proof::Proof trace =
-            threads > 1 ? pre_writer.proof() : memory_proof.proof();
-        if (!certify_unsat(original, trace, threads > 1 ? drat_path : "",
-                           drat_format, core_path, sink)) {
-          return 1;
-        }
-      }
-      return 20;
-    }
-    std::cout << "c preprocessing: " << pre.removed_subsumed << " subsumed, "
-              << pre.strengthened_literals << " literals strengthened, "
-              << pre.propagated_units << " units\n";
-    cnf = pre.cnf;
-  }
-  const Cnf& proof_formula = certify_original ? original : cnf;
   if (threads > 1) {
     portfolio::PortfolioOptions popts;
     popts.num_threads = threads;
@@ -665,14 +605,8 @@ int main(int argc, char** argv) {
       }
     }
     if (status == SolveStatus::unsatisfiable && want_proof) {
-      // One trace: preprocessing rewrites first, then the spliced race.
-      proof::Proof trace = pre_writer.proof();
-      proof::Proof spliced = portfolio.spliced_proof();
-      trace.steps.insert(trace.steps.end(),
-                         std::make_move_iterator(spliced.steps.begin()),
-                         std::make_move_iterator(spliced.steps.end()));
-      if (!certify_unsat(proof_formula, trace, drat_path, drat_format,
-                         core_path, sink)) {
+      if (!certify_unsat(cnf, portfolio.spliced_proof(), drat_path,
+                         drat_format, core_path, sink)) {
         return 1;
       }
     }
@@ -702,6 +636,30 @@ int main(int argc, char** argv) {
   // Single-shot sequential solving: nothing can mention a variable again
   // after this solve, so inprocessing may also eliminate variables.
   options.inprocess.var_elim = options.inprocess.enabled;
+
+  // Core extraction needs the whole trace in memory; plain --drat streams
+  // straight to disk as the search runs.
+  proof::MemoryProofWriter memory_proof;
+  std::ofstream drat_stream;
+  std::unique_ptr<proof::ProofWriter> stream_writer;
+  proof::ProofWriter* seq_writer = nullptr;  // single-thread proof sink
+  if (want_proof) {
+    if (!core_path.empty()) {
+      seq_writer = &memory_proof;
+    } else {
+      drat_stream.open(drat_path, std::ios::binary);
+      if (!drat_stream) {
+        std::cerr << "error: cannot open '" << drat_path << "' for the proof\n";
+        return 1;
+      }
+      if (drat_format == proof::DratFormat::binary) {
+        stream_writer = std::make_unique<proof::BinaryDratWriter>(drat_stream);
+      } else {
+        stream_writer = std::make_unique<proof::TextDratWriter>(drat_stream);
+      }
+      seq_writer = stream_writer.get();
+    }
+  }
   Solver solver(options);
   solver.set_telemetry(sink);
   solver.set_memory_budget(mem_budget.get());
@@ -719,7 +677,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "s " << to_string(status) << "\n";
   if (status == SolveStatus::unsatisfiable && !core_path.empty() &&
-      !certify_unsat(proof_formula, memory_proof.proof(), drat_path,
+      !certify_unsat(cnf, memory_proof.proof(), drat_path,
                      drat_format, core_path, sink)) {
     return 1;
   }

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Certify every answer on the smoke manifest: solve each instance with
 # --drat --check-model, single-threaded and as a 4-worker portfolio, in
-# two modes — inprocessing on (the CLI default), and inprocessing plus
-# front-end preprocessing (--preprocess), whose DRAT steps lead the trace
-# so it still certifies against the ORIGINAL formula. Every UNSAT trace
-# is verified with the in-tree checker (drat_check) and every extracted
-# core re-solved expecting UNSAT. Any unverified answer fails the run.
+# two modes — inprocessing on (the CLI default), and inprocessing plus the
+# pre-search subsumption round (--preprocess), whose rewrites are logged
+# by each solver so the trace still certifies against the input formula.
+# Every UNSAT trace is verified with the in-tree checker (drat_check) and
+# every extracted core re-solved expecting UNSAT. Any unverified answer
+# fails the run.
 #
 #   scripts/proof_smoke.sh [build-dir] [manifest]
 set -u

@@ -1,30 +1,19 @@
-// Clause normalization and root-level preprocessing.
+// Clause normalization: the canonical form every solver stores.
 //
-// These transformations are satisfiability-preserving and are used both by
-// the solvers when clauses are added and by tests/generators that want
-// canonical formulas.
+// Root-level simplification (unit propagation, subsumption and
+// self-subsumption) happens inside the solver on its live database — see
+// core/inprocess.h, which also serves the CLI's --preprocess round.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "cnf/cnf_formula.h"
+#include "cnf/literal.h"
 
 namespace berkmin {
 
 // Sorts literals, removes duplicates. Returns std::nullopt if the clause is
 // a tautology (contains both l and ~l) and should be dropped.
 std::optional<std::vector<Lit>> normalize_clause(std::vector<Lit> lits);
-
-struct SimplifyResult {
-  Cnf cnf;                       // the simplified formula
-  bool unsat = false;            // true if the root propagation hit a conflict
-  std::vector<Lit> root_units;   // literals forced at the root level
-};
-
-// Exhaustive root-level unit propagation plus normalization: drops
-// satisfied clauses, strips false literals, propagates resulting units to
-// a fixed point. Variable numbering is preserved (no renaming).
-SimplifyResult simplify(const Cnf& cnf);
 
 }  // namespace berkmin

@@ -474,7 +474,11 @@ void Inprocessor::apply_removals() {
   s_.garbage_collect(keep_learned, &keep_originals);
 }
 
-void Inprocessor::run() {
+void Inprocessor::run() { run_round(/*all_passes=*/true); }
+
+void Inprocessor::run_subsumption() { run_round(/*all_passes=*/false); }
+
+void Inprocessor::run_round(bool all_passes) {
   if (!s_.ok_ || s_.has_selectors_) return;
   assert(s_.decision_level() == 0);
   // The restart callback may have queued imported units; every pass below
@@ -497,13 +501,14 @@ void Inprocessor::run() {
   derived_var_.assign(static_cast<std::size_t>(s_.num_internal_vars()), 0);
   items_.clear();
 
-  bool alive = probe_failed_literals();
+  bool alive = !all_passes || probe_failed_literals();
   if (alive) {
     build_index();
     alive = subsume_and_strengthen();
   }
-  if (alive) alive = vivify_clauses();
-  if (alive && s_.opts_.inprocess.var_elim && s_.assumptions_.empty()) {
+  if (alive && all_passes) alive = vivify_clauses();
+  if (alive && all_passes && s_.opts_.inprocess.var_elim &&
+      s_.assumptions_.empty()) {
     alive = eliminate_variables();
   }
 

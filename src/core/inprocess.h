@@ -40,6 +40,12 @@ class Inprocessor {
   // refutes the formula.
   void run();
 
+  // Runs the subsumption / self-subsumption pass alone, under the same
+  // contract as run(). This is the pre-search round
+  // (InprocessOptions::presearch_subsumption): it only removes or
+  // strengthens clauses, so it never adds search work of its own.
+  void run_subsumption();
+
   // Overrides the values of eliminated variables in a model (external
   // numbering, which coincides with internal numbering whenever variable
   // elimination was allowed to run) so that every original clause removed
@@ -70,6 +76,10 @@ class Inprocessor {
     std::uint64_t signature = 0;
     std::vector<Lit> lits;  // sorted
   };
+
+  // run() with every pass, or run_subsumption() with the subsumption
+  // pass alone.
+  void run_round(bool all_passes);
 
   // Each returns false when the formula was refuted mid-pass.
   bool probe_failed_literals();

@@ -92,6 +92,11 @@ struct InprocessOptions {
   // not grow the clause database.
   std::uint32_t var_elim_max_occurrences = 10;
   std::uint32_t var_elim_max_resolvents = 16;
+  // One subsumption / self-subsumption pass at decision level 0 after the
+  // first solve's root propagation, before any search (the CLI's
+  // --preprocess). Independent of `enabled`; skipped while clause groups
+  // are active, like every pass.
+  bool presearch_subsumption = false;
 };
 
 struct SolverOptions {

@@ -714,6 +714,14 @@ SolveStatus Solver::solve_with_assumptions(std::span<const Lit> assumptions,
   if (root_conflict != no_clause) {
     ok_ = false;
     proof_emit_empty();
+  } else if (opts_.inprocess.presearch_subsumption && !presearch_done_) {
+    // The pre-search round (--preprocess), once per solver. It may refute
+    // the formula, which clears ok_ and closes the proof itself.
+    presearch_done_ = true;
+    if (inprocessor_ == nullptr) inprocessor_ = std::make_unique<Inprocessor>(*this);
+    inprocessor_->run_subsumption();
+  }
+  if (!ok_) {
     assumptions_.clear();
     record_slice();
     telemetry_finish_solve(trace_start_ns, SolveStatus::unsatisfiable);

@@ -585,6 +585,8 @@ class Solver final : public IncrementalSolver {
   friend class Inprocessor;
   std::unique_ptr<Inprocessor> inprocessor_;
   std::vector<char> eliminated_;
+  // Set once the pre-search subsumption round has had its turn.
+  bool presearch_done_ = false;
 
   // analyze() scratch.
   std::vector<char> seen_;

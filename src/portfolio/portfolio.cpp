@@ -192,6 +192,17 @@ void PortfolioSolver::warm_up_workers() {
   // phase itself — instead of serializing n copies of the formula on the
   // calling thread.
   const std::size_t from = replayed_ops_;
+  // The splicer sequences deletions of input clauses by how many workers
+  // still hold a copy, so it must know the input before a worker loads it.
+  if (splicer_ != nullptr) {
+    for (std::size_t oi = from; oi < ops_.size(); ++oi) {
+      const PendingOp& op = ops_[oi];
+      if (op.kind == PendingOp::Kind::clause ||
+          op.kind == PendingOp::Kind::clause_to) {
+        splicer_->note_input(cnf_.clause(op.clause_index));
+      }
+    }
+  }
   const auto feed = [&](Solver& solver) {
     for (std::size_t oi = from; oi < ops_.size(); ++oi) {
       const PendingOp& op = ops_[oi];

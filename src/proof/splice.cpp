@@ -61,6 +61,37 @@ void ProofSplicer::note_collected(int id, std::size_t cursor) {
   deferred_.resize(kept);
 }
 
+void ProofSplicer::note_input(std::span<const Lit> lits) {
+  std::vector<std::int32_t> key = sorted_key(lits);
+  key.erase(std::unique(key.begin(), key.end()), key.end());
+  for (std::size_t i = 1; i < key.size(); ++i) {
+    if ((key[i] ^ key[i - 1]) == 1) return;  // l and ~l: a tautology
+  }
+  ++inputs_[std::move(key)].copies;
+}
+
+bool ProofSplicer::drop_input_copy(std::int32_t id,
+                                   const std::vector<std::int32_t>& key,
+                                   ProofStep& step) {
+  const auto it = inputs_.find(key);
+  if (it == inputs_.end()) return false;
+  InputClause& input = it->second;
+  std::lock_guard<std::mutex> lock(deferred_mu_);
+  if (input.dropped.empty()) input.dropped.assign(writers_.size(), 0);
+  std::uint32_t& mine = input.dropped[static_cast<std::size_t>(id)];
+  if (mine == input.copies) return false;
+  ++mine;
+  input.step = std::move(step);
+  // Sequence every copy that no worker holds any more.
+  const std::uint32_t unheld =
+      *std::min_element(input.dropped.begin(), input.dropped.end());
+  for (; input.released < unheld; ++input.released) {
+    const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+    released_.push_back(SequencedStep{seq, input.step});
+  }
+  return true;
+}
+
 void ProofSplicer::TaggedWriter::add_clause(std::span<const Lit> lits) {
   ++added_;
   const std::uint64_t seq =
@@ -72,7 +103,9 @@ void ProofSplicer::TaggedWriter::add_clause(std::span<const Lit> lits) {
 void ProofSplicer::TaggedWriter::delete_clause(std::span<const Lit> lits) {
   ++deleted_;
   ProofStep step{StepKind::del, id_, {lits.begin(), lits.end()}};
-  const auto it = published_.find(sorted_key(lits));
+  const std::vector<std::int32_t> key = sorted_key(lits);
+  if (owner_->drop_input_copy(id_, key, step)) return;
+  const auto it = published_.find(key);
   if (it != published_.end()) {
     // A sibling may still be between collecting this clause and logging
     // its copy; park the deletion until note_collected() covers the entry.
@@ -83,18 +116,6 @@ void ProofSplicer::TaggedWriter::delete_clause(std::span<const Lit> lits) {
   const std::uint64_t seq =
       owner_->next_seq_.fetch_add(1, std::memory_order_relaxed);
   buffer_.push_back(SequencedStep{seq, std::move(step)});
-}
-
-std::size_t ProofSplicer::total_steps() const {
-  std::size_t total = 0;
-  for (const auto& w : writers_) total += w->buffer_.size();
-  std::lock_guard<std::mutex> lock(deferred_mu_);
-  return total + released_.size() + deferred_.size();
-}
-
-std::size_t ProofSplicer::deferred_deletions() const {
-  std::lock_guard<std::mutex> lock(deferred_mu_);
-  return deferred_.size();
 }
 
 Proof ProofSplicer::spliced() const {
@@ -118,6 +139,14 @@ Proof ProofSplicer::spliced() const {
   // deleted copies, so the trace stays checkable and the deletions stay
   // visible to consumers (and to backward trimming).
   for (const DeferredDeletion& d : deferred_) out.steps.push_back(d.step);
+  for (const auto& [key, input] : inputs_) {
+    if (input.dropped.empty()) continue;
+    const std::uint32_t dropped =
+        *std::max_element(input.dropped.begin(), input.dropped.end());
+    for (std::uint32_t i = input.released; i < dropped; ++i) {
+      out.steps.push_back(input.step);
+    }
+  }
   return out;
 }
 

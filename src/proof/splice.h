@@ -28,6 +28,18 @@
 //    that entry; whatever is still parked when the race ends is flushed
 //    at the tail of spliced(), where no later step can depend on it.
 //
+// Input clauses need their own rule. Every worker loads the input, but
+// the checker holds each input clause only as many times as the input
+// lists it — there is no per-worker copy-add to back a worker's deletion.
+// If k workers each subsumed their copy of a duplicated input clause,
+// passing those k deletions through would empty the checker of a clause
+// some worker still holds. So a worker's first m deletions of an input
+// clause listed m times are counted as dropping its input copies, and the
+// j-th input copy's deletion is sequenced only once every worker has
+// dropped j copies (note_input registers the input). Deletions beyond a
+// worker's m input copies are backed by its own logged additions and
+// follow the rules above and below.
+//
 // Deletions of clauses that were never accepted by the exchange pass
 // through immediately: no sibling ever received a copy, and an identical
 // independently-derived lemma elsewhere is backed by that worker's own
@@ -39,8 +51,8 @@
 // Thread safety: writer(i) and note_published(i, ...) must be used by
 // worker i's thread only (they touch that worker's buffer and published
 // map); note_collected() and the deferred queue are mutex-protected and
-// may be called from any worker thread. spliced() may be called once
-// every worker thread has joined.
+// may be called from any worker thread. note_input() and spliced() may be
+// called only while no worker is solving.
 #pragma once
 
 #include <atomic>
@@ -78,16 +90,15 @@ class ProofSplicer {
   // sequence numbers (i.e. "now", after all copy-adds they must follow).
   void note_collected(int id, std::size_t cursor);
 
-  // Steps logged so far, across all workers (post-join use only).
-  std::size_t total_steps() const;
-
-  // Deletions currently parked awaiting note_collected() coverage
-  // (post-join use; spliced() flushes them at the trace tail).
-  std::size_t deferred_deletions() const;
+  // Registers one clause of the input every worker loads. Call before the
+  // workers load it, while none is solving; a clause listed m times is
+  // registered m times. Tautologies are ignored (no solver stores one).
+  void note_input(std::span<const Lit> lits);
 
   // Merges every worker's buffer (plus released deletions) into one trace
-  // ordered by the global sequence, with any still-deferred deletions
-  // appended at the end. Call only while no worker is solving.
+  // ordered by the global sequence, with any still-deferred deletions —
+  // published clauses, and input copies some worker still holds — appended
+  // at the end. Call only while no worker is solving.
   Proof spliced() const;
 
  private:
@@ -118,6 +129,23 @@ class ProofSplicer {
     ProofStep step;
   };
 
+  // One distinct input clause: how often the input lists it, how many of
+  // those copies each worker has deleted, and how many deletions were
+  // sequenced (the minimum over workers of `dropped`).
+  struct InputClause {
+    std::uint32_t copies = 0;
+    std::uint32_t released = 0;
+    std::vector<std::uint32_t> dropped;  // per worker; empty until a drop
+    ProofStep step;                      // the latest drop, for sequencing
+  };
+
+  // Counts worker `id`'s deletion of `key` against its input copies and
+  // takes `step` for sequencing. Returns false, leaving `step` alone, when
+  // `key` is no input clause or the worker already dropped every input
+  // copy (its own additions back this deletion).
+  bool drop_input_copy(std::int32_t id, const std::vector<std::int32_t>& key,
+                       ProofStep& step);
+
   std::atomic<std::uint64_t> next_seq_{0};
   std::vector<std::unique_ptr<TaggedWriter>> writers_;
 
@@ -125,6 +153,10 @@ class ProofSplicer {
   std::vector<DeferredDeletion> deferred_;   // parked, unsequenced
   std::vector<SequencedStep> released_;      // sequenced by note_collected
   std::vector<std::size_t> import_cursors_;  // per worker, via note_collected
+  // Sorted-code key -> input clause. Filled by note_input between races
+  // and only looked up during one; the counters are guarded by
+  // deferred_mu_.
+  std::map<std::vector<std::int32_t>, InputClause> inputs_;
 };
 
 }  // namespace berkmin::proof

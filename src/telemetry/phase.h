@@ -23,7 +23,7 @@ enum class Phase : std::uint8_t {
   decide,
   reduce,
   garbage_collect,
-  inprocess,  // restart-time simplification passes (core/inprocess.*)
+  inprocess,  // inprocessing passes (core/inprocess.*), incl. pre-search
   verify,     // proof checker forward RUP pass
   trim,       // proof checker backward trim/core pass
 };

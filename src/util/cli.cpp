@@ -8,10 +8,6 @@
 
 namespace berkmin {
 
-namespace {
-
-// True when the whole of `text` is one finite number that get_double reads,
-// and, when it is an integer, one that get_int reads without overflow.
 bool is_number(const std::string& text) {
   if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
     return false;
@@ -26,8 +22,6 @@ bool is_number(const std::string& text) {
   (void)std::strtoll(begin, &end, 10);
   return end != whole || errno != ERANGE;
 }
-
-}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) raw_.emplace_back(argv[i]);

@@ -11,6 +11,10 @@
 
 namespace berkmin {
 
+// True when the whole of `text` is one finite number that get_double reads,
+// and, when it is an integer, one that get_int reads without overflow.
+bool is_number(const std::string& text);
+
 class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);

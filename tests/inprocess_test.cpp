@@ -1,8 +1,9 @@
 // Restart-time inprocessing (src/core/inprocess.*): differential
 // correctness against the reference DPLL oracle with every pass enabled
 // (including bounded variable elimination and its model extension), proof
-// soundness of inprocessed traces, and the guard that keeps every pass
-// away from solvers with active clause groups.
+// soundness of inprocessed traces, the guard that keeps every pass away
+// from solvers with active clause groups, and the pre-search subsumption
+// round (InprocessOptions::presearch_subsumption, the CLI's --preprocess).
 #include <gtest/gtest.h>
 
 #include "core/solver.h"
@@ -10,6 +11,7 @@
 #include "gen/random_ksat.h"
 #include "proof/drat_checker.h"
 #include "proof/proof_writer.h"
+#include "reference/brute_force.h"
 #include "reference/dpll.h"
 #include "test_util.h"
 
@@ -17,6 +19,7 @@ namespace berkmin {
 namespace {
 
 using berkmin::testing::lits;
+using berkmin::testing::make_cnf;
 
 // Aggressive schedule so passes actually fire on small formulas: restart
 // every 20 conflicts, inprocess at every restart, eliminate variables.
@@ -170,6 +173,151 @@ TEST(Inprocess, AssumptionSolvesStayCorrectAfterVarElim) {
     ASSERT_EQ(solver.validate_invariants(), "");
   }
 }
+
+// ---- the pre-search subsumption round (--preprocess) ----------------------
+
+// The round alone: restart-time inprocessing stays off, so every rewrite
+// observed below comes from the one pass before search.
+SolverOptions presearch_only() {
+  SolverOptions options = SolverOptions::berkmin();
+  options.inprocess.presearch_subsumption = true;
+  return options;
+}
+
+bool has_step(const proof::Proof& trace, proof::StepKind kind,
+              const std::vector<Lit>& clause) {
+  for (const proof::ProofStep& step : trace.steps) {
+    if (step.kind == kind && step.lits == clause) return true;
+  }
+  return false;
+}
+
+TEST(Preprocess, RemovesSubsumedClauses) {
+  // (1 2) subsumes (1 2 3) and (1 2 4).
+  Solver solver(presearch_only());
+  solver.load(make_cnf({{1, 2}, {1, 2, 3}, {1, 2, 4}}));
+  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
+  EXPECT_EQ(solver.stats().subsumed_clauses, 2u);
+  EXPECT_EQ(solver.num_originals(), 1u);
+  EXPECT_EQ(solver.stats().inprocessings, 1u);
+}
+
+TEST(Preprocess, RemovesDuplicates) {
+  Solver solver(presearch_only());
+  solver.load(make_cnf({{1, 2}, {2, 1}, {1, 2}}));
+  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
+  EXPECT_EQ(solver.num_originals(), 1u);
+}
+
+TEST(Preprocess, SelfSubsumptionStrengthens) {
+  // (1 2)\{1} = {2} is contained in (-1 2 3)\{-1} = {2 3}: resolving on 1
+  // deletes -1, leaving (2 3) — logged as an add before the deletion.
+  proof::MemoryProofWriter writer;
+  Solver solver(presearch_only());
+  solver.set_proof(&writer);
+  solver.load(make_cnf({{1, 2}, {-1, 2, 3}}));
+  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
+  EXPECT_GE(solver.stats().strengthened_clauses, 1u);
+  EXPECT_TRUE(has_step(writer.proof(), proof::StepKind::add, lits({2, 3})));
+  EXPECT_TRUE(has_step(writer.proof(), proof::StepKind::del, lits({-1, 2, 3})));
+}
+
+TEST(Preprocess, PropagatesUnits) {
+  // Root propagation fixes 1 and 2 before the round; strengthening (3 4)
+  // against (3 -4) then proves the unit 3.
+  proof::MemoryProofWriter writer;
+  Solver solver(presearch_only());
+  solver.set_proof(&writer);
+  solver.load(make_cnf({{1}, {-1, 2}, {-2, 3, 4}, {3, -4}}));
+  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
+  EXPECT_EQ(solver.stats().conflicts, 0u);
+  EXPECT_TRUE(has_step(writer.proof(), proof::StepKind::add, lits({3})));
+  EXPECT_TRUE(solver.model_value(from_dimacs(1)));
+  EXPECT_TRUE(solver.model_value(from_dimacs(2)));
+  EXPECT_TRUE(solver.model_value(from_dimacs(3)));
+}
+
+TEST(Preprocess, DetectsUnsat) {
+  // (1 -2) strengthens to the unit 1, which falsifies (-1 3) + (-1 -3):
+  // the round refutes the formula before the first decision.
+  const Cnf cnf = make_cnf({{1, 2}, {1, -2}, {-1, 3}, {-1, -3}});
+  proof::MemoryProofWriter writer;
+  Solver solver(presearch_only());
+  solver.set_proof(&writer);
+  solver.load(cnf);
+  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
+  EXPECT_EQ(solver.stats().decisions, 0u);
+  ASSERT_TRUE(writer.proof().ends_with_empty());
+  proof::DratChecker checker(cnf);
+  const proof::CheckResult result = checker.check(writer.proof());
+  EXPECT_TRUE(result.valid) << result.error;
+}
+
+TEST(Preprocess, DropsTautologies) {
+  Solver solver(presearch_only());
+  solver.load(make_cnf({{1, -1, 2}, {3, 4}}));
+  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
+  EXPECT_EQ(solver.num_originals(), 1u);
+}
+
+TEST(Preprocess, RunsOncePerSolver) {
+  Solver solver(presearch_only());
+  solver.load(make_cnf({{1, 2}, {1, 2, 3}}));
+  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
+  (void)solver.add_clause(lits({1, 2, 4}));
+  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
+  EXPECT_EQ(solver.stats().inprocessings, 1u);
+  EXPECT_EQ(solver.stats().subsumed_clauses, 1u);
+}
+
+TEST(Preprocess, ShrinksPigeonholeDuplicateFreeFormula) {
+  // Pigeonhole has nothing to subsume or strengthen: the round must leave
+  // it whole and not perturb the search by a single decision or
+  // propagation.
+  const Cnf cnf = gen::pigeonhole(7);
+  Solver plain(SolverOptions::berkmin());
+  plain.load(cnf);
+  ASSERT_EQ(plain.solve(), SolveStatus::unsatisfiable);
+  Solver rounded(presearch_only());
+  rounded.load(cnf);
+  ASSERT_EQ(rounded.solve(), SolveStatus::unsatisfiable);
+  EXPECT_EQ(rounded.stats().inprocessings, 1u);
+  EXPECT_EQ(rounded.stats().subsumed_clauses, 0u);
+  EXPECT_EQ(rounded.stats().strengthened_clauses,
+            plain.stats().strengthened_clauses);
+  EXPECT_EQ(rounded.stats().conflicts, plain.stats().conflicts);
+  EXPECT_EQ(rounded.stats().decisions, plain.stats().decisions);
+  EXPECT_EQ(rounded.stats().propagations, plain.stats().propagations);
+}
+
+class PreprocessEquisat : public ::testing::TestWithParam<int> {};
+
+TEST_P(PreprocessEquisat, PreservesSatisfiabilityAndModels) {
+  // Models must satisfy the input formula and UNSAT traces must certify
+  // against it: the round rewrites the live database, never the input.
+  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
+  const Cnf cnf = gen::random_ksat(12, 45, 3, seed + 900);
+  const bool expected = reference::brute_force_satisfiable(cnf);
+
+  proof::MemoryProofWriter writer;
+  Solver solver(presearch_only());
+  solver.set_proof(&writer);
+  solver.load(cnf);
+  const SolveStatus status = solver.solve();
+  ASSERT_NE(status, SolveStatus::unknown);
+  EXPECT_EQ(status == SolveStatus::satisfiable, expected) << "seed " << seed;
+  EXPECT_EQ(solver.stats().inprocessings, 1u);
+  if (status == SolveStatus::satisfiable) {
+    EXPECT_TRUE(cnf.is_satisfied_by(solver.model())) << "seed " << seed;
+  } else {
+    proof::DratChecker checker(cnf);
+    const proof::CheckResult result = checker.check(writer.proof());
+    EXPECT_TRUE(result.valid) << "seed " << seed << ": " << result.error;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PreprocessEquisat,
+                         ::testing::Range(0, 20));
 
 }  // namespace
 }  // namespace berkmin

@@ -9,6 +9,7 @@
 #include "gen/pigeonhole.h"
 #include "portfolio/portfolio.h"
 #include "proof/drat_checker.h"
+#include "proof/splice.h"
 #include "test_util.h"
 
 namespace berkmin {
@@ -43,6 +44,64 @@ TEST(PortfolioProof, SplicedUnsatTraceVerifies) {
   EXPECT_TRUE(result.valid) << result.error;
   EXPECT_LT(result.peak_live_clauses,
             cnf.num_clauses() + result.checked_adds);
+}
+
+TEST(PortfolioProof, DuplicatedInputClausesKeepACopyInTheSplice) {
+  // Every third clause of hole:7 listed twice. Each worker's inprocessing
+  // subsumes its own copy of a duplicate; the checker holds the input's
+  // two copies only once, so k workers' deletions must not all land
+  // while some worker still leans on its copy.
+  Cnf cnf = gen::pigeonhole(7);
+  const std::size_t original_clauses = cnf.num_clauses();
+  for (std::size_t i = 0; i < original_clauses; i += 3) {
+    const std::vector<Lit> clause = cnf.clause(i);
+    cnf.add_clause(clause);
+  }
+  portfolio::PortfolioOptions options;
+  options.num_threads = 4;
+  options.log_proof = true;
+  options.configs =
+      portfolio::diversified_configs(options.num_threads, options.base_seed);
+  for (portfolio::WorkerConfig& config : options.configs) {
+    config.options.restart_interval = 20;
+    config.options.inprocess.enabled = true;
+    config.options.inprocess.interval_restarts = 1;
+  }
+  portfolio::PortfolioSolver portfolio(options);
+  portfolio.load(cnf);
+  ASSERT_EQ(portfolio.solve(), SolveStatus::unsatisfiable);
+
+  const proof::Proof trace = portfolio.spliced_proof();
+  ASSERT_TRUE(trace.ends_with_empty());
+  proof::DratChecker checker(cnf);
+  const proof::CheckResult result = checker.check(trace);
+  EXPECT_TRUE(result.valid) << result.error;
+}
+
+TEST(PortfolioProof, SplicerReleasesAnInputCopyOnlyWhenNoWorkerHoldsIt) {
+  // (1 2) is listed twice. Worker 0 drops both of its copies, worker 1
+  // one: only one input copy is unheld, so exactly one deletion is
+  // sequenced, at worker 1's drop rather than at either of worker 0's.
+  proof::ProofSplicer splicer(2);
+  const std::vector<Lit> clause = testing::lits({1, 2});
+  splicer.note_input(clause);
+  splicer.note_input(clause);
+  splicer.writer(0)->delete_clause(clause);
+  splicer.writer(0)->delete_clause(clause);
+  splicer.writer(0)->add_clause(testing::lits({1, 3}));
+  splicer.writer(1)->delete_clause(clause);
+  splicer.writer(1)->add_clause(testing::lits({2}));
+
+  const proof::Proof trace = splicer.spliced();
+  ASSERT_EQ(trace.size(), 4u);
+  EXPECT_TRUE(trace.steps[0].is_add());
+  EXPECT_TRUE(trace.steps[1].is_delete());
+  EXPECT_EQ(trace.steps[1].lits, clause);
+  EXPECT_TRUE(trace.steps[2].is_add());
+  // Worker 0's second drop stays unsequenced until the race ends; the
+  // tail carries it, after every step that could lean on the copy.
+  EXPECT_TRUE(trace.steps[3].is_delete());
+  EXPECT_EQ(trace.num_deletes(), 2u);
 }
 
 TEST(PortfolioProof, StepsCarryProducerIds) {

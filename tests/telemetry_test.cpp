@@ -335,6 +335,22 @@ TEST(SolverTelemetry, PublishIsDeltaBased) {
   EXPECT_EQ(hub_total, stats_total);
 }
 
+TEST(SolverTelemetry, SnapshotExportsInprocessPhase) {
+  // The pre-search subsumption round (the CLI's --preprocess) runs under
+  // the inprocess phase, which the snapshot must carry like any other.
+  Telemetry hub;
+  telemetry::SolverTelemetry sink(hub, nullptr);
+  SolverOptions options;
+  options.inprocess.presearch_subsumption = true;
+  Solver solver(options);
+  solver.set_telemetry(&sink);
+  solver.load(gen::pigeonhole(4));
+  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
+  const MetricsSnapshot snap = hub.snapshot();
+  ASSERT_EQ(snap.phases.count("inprocess"), 1u);
+  EXPECT_GE(snap.phases.at("inprocess").calls, 1u);
+}
+
 TEST(SolverTelemetry, DisabledSinkChangesNothing) {
   Solver solver;  // no set_telemetry: the null-sink fast path
   solver.load(gen::pigeonhole(4));
